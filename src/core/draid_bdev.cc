@@ -248,7 +248,9 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
             if (cmd.nextDest2 != sim::kInvalidNode) {
                 // Q-bound copy: apply g^idx at the sender so the reducer
                 // stays a pure XOR machine (late-Parity safe).
-                ec::Buffer qcopy = partial.clone();
+                // applyQCoefficient rebinds qcopy to a new buffer, so
+                // partial's bytes are never written.
+                ec::Buffer qcopy = partial;
                 applyQCoefficient(qcopy, cmd.dataIdx);
                 node_.cpu().executeBytes(
                     qcopy.size(), cluster_.config().gfBw, sim::Ticks::zero(), cmd.traceId,
@@ -615,7 +617,7 @@ void
 DraidBdev::applyQCoefficient(ec::Buffer &partial, std::uint16_t idx)
 {
     const auto &gf = ec::Gf256::instance();
-    ec::Buffer out(partial.size());
+    ec::Buffer out = ec::Buffer::uninitialized(partial.size());
     gf.mulBlock(gf.pow2(idx), partial.data(), out.data(), out.size());
     partial = std::move(out);
 }

@@ -90,7 +90,10 @@ class DraidBdev : public blockdev::NvmfTarget
                         ec::Buffer partial, std::uint16_t data_idx,
                         std::uint64_t trace = 0);
 
-    /** Apply the Q coefficient g^idx to a partial result (CPU-charged). */
+    /**
+     * Rebind @p partial to a new buffer holding g^idx times its bytes.
+     * The old bytes, which other holders may share, are not written.
+     */
     void applyQCoefficient(ec::Buffer &partial, std::uint16_t idx);
 
     /** Completion routing for commands this bdev itself issued. */

@@ -11,9 +11,20 @@ Buffer::Buffer(std::size_t size)
 {
 }
 
-Buffer::Buffer(const std::uint8_t *src, std::size_t size) : Buffer(size)
+Buffer::Buffer(const std::uint8_t *src, std::size_t size)
+    : Buffer(uninitialized(size))
 {
-    std::memcpy(data_.get(), src, size);
+    if (size)
+        std::memcpy(data_.get(), src, size);
+}
+
+Buffer
+Buffer::uninitialized(std::size_t size)
+{
+    Buffer b;
+    b.data_ = std::shared_ptr<std::uint8_t[]>(new std::uint8_t[size]);
+    b.size_ = size;
+    return b;
 }
 
 Buffer

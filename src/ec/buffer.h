@@ -6,6 +6,10 @@
  * through the simulated network, reduced at a peer, and verified at the
  * host without deep copies — mirroring the zero-copy RDMA data path of the
  * real system.
+ *
+ * Buffer(n) zero-fills; uninitialized(n) does not, and is for buffers the
+ * caller overwrites in full before reading (copies, kernel outputs), so
+ * the byte path pays for each byte once.
  */
 
 #ifndef DRAID_EC_BUFFER_H
@@ -27,8 +31,14 @@ class Buffer
     /** Allocate a zero-initialized buffer of @p size bytes. */
     explicit Buffer(std::size_t size);
 
-    /** Allocate and fill from @p src (copies @p size bytes). */
+    /** Allocate and fill from @p src (copies @p size bytes, no zero-fill). */
     Buffer(const std::uint8_t *src, std::size_t size);
+
+    /**
+     * Allocate @p size bytes with indeterminate contents. The caller must
+     * write every byte before any is read.
+     */
+    static Buffer uninitialized(std::size_t size);
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }

@@ -3,8 +3,15 @@
  * GF(2^8) arithmetic for RAID-6 (polynomial 0x11d, generator 2).
  *
  * Follows the construction in H. P. Anvin, "The mathematics of RAID-6":
- * the Q parity is sum_i g^i * D_i over GF(2^8) where g = 2. Tables are
- * built once at startup.
+ * the Q parity is sum_i g^i * D_i over GF(2^8) where g = 2.
+ *
+ * Scalar operations (mul, div, inv) use log/exp tables; they are also the
+ * reference the block kernels are tested against. The block kernels
+ * mulAccum/mulBlock are the ISA-L-style ones: on CPUs with AVX2 they look
+ * up each byte's two nibbles in two 16-entry tables per constant with
+ * VPSHUFB (Plank, Greenan & Miller, FAST 2013); elsewhere they index a
+ * 256-entry product row per constant. The path is chosen at run time from
+ * the CPU's features. All tables are built on first use.
  */
 
 #ifndef DRAID_EC_GF256_H
@@ -45,12 +52,12 @@ class Gf256
 
     /**
      * dst[i] ^= c * src[i] — the multiply-accumulate kernel used for Q
-     * parity generation and reconstruction.
+     * parity updates and reconstruction. c == 1 is a plain XOR.
      */
     void mulAccum(std::uint8_t c, const std::uint8_t *src, std::uint8_t *dst,
                   std::size_t len) const;
 
-    /** dst[i] = c * src[i]. */
+    /** dst[i] = c * src[i]. src == dst scales in place. */
     void mulBlock(std::uint8_t c, const std::uint8_t *src, std::uint8_t *dst,
                   std::size_t len) const;
 

@@ -3,25 +3,43 @@
 #include <cassert>
 #include <cstddef>
 
+#include "ec/detail/kernels.h"
 #include "ec/gf256.h"
 #include "ec/xor_kernel.h"
 
 namespace draid::ec {
 
+namespace {
+
+/** P and Q of @p srcs in one pass; a null source counts as zeros. */
+void
+pqGen(const std::vector<const std::uint8_t *> &srcs, std::size_t len,
+      Buffer &p, Buffer &q)
+{
+    p = Buffer::uninitialized(len);
+    q = Buffer::uninitialized(len);
+#if DRAID_EC_AVX2
+    if (detail::cpuHasAvx2()) {
+        detail::pqGenAvx2(srcs.data(), srcs.size(), p.data(), q.data(), len);
+        return;
+    }
+#endif
+    detail::pqGenPortable(srcs.data(), srcs.size(), p.data(), q.data(), len);
+}
+
+} // namespace
+
 void
 Raid6Codec::computePQ(const std::vector<Buffer> &data, Buffer &p, Buffer &q)
 {
     assert(!data.empty());
-    const auto &gf = Gf256::instance();
-    const std::size_t len = data[0].size();
-    p = Buffer(len);
-    q = Buffer(len);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        assert(data[i].size() == len);
-        xorInto(p.data(), data[i].data(), len);
-        gf.mulAccum(gf.pow2(static_cast<unsigned>(i)), data[i].data(),
-                    q.data(), len);
+    std::vector<const std::uint8_t *> srcs;
+    srcs.reserve(data.size());
+    for (const Buffer &d : data) {
+        assert(d.size() == data[0].size());
+        srcs.push_back(d.data());
     }
+    pqGen(srcs, data[0].size(), p, q);
 }
 
 Buffer
@@ -78,9 +96,8 @@ Raid6Codec::recoverDataWithQ(const std::vector<Buffer> &data, const Buffer &q,
     }
     const std::uint8_t ginv =
         gf.inv(gf.pow2(static_cast<unsigned>(missing)));
-    Buffer out(acc.size());
-    gf.mulBlock(ginv, acc.data(), out.data(), out.size());
-    return out;
+    gf.mulBlock(ginv, acc.data(), acc.data(), acc.size());
+    return acc;
 }
 
 void
@@ -92,15 +109,15 @@ Raid6Codec::recoverTwoData(std::vector<Buffer> &data, const Buffer &p,
     const std::size_t len = p.size();
 
     // Pxy/Qxy: parities computed from the survivors only.
-    Buffer pxy(len), qxy(len);
+    std::vector<const std::uint8_t *> srcs(data.size(), nullptr);
     for (std::size_t i = 0; i < data.size(); ++i) {
-        if (i == x || i == y)
-            continue;
-        assert(!data[i].empty());
-        xorInto(pxy.data(), data[i].data(), len);
-        gf.mulAccum(gf.pow2(static_cast<unsigned>(i)), data[i].data(),
-                    qxy.data(), len);
+        if (i != x && i != y) {
+            assert(data[i].size() == len);
+            srcs[i] = data[i].data();
+        }
     }
+    Buffer pxy, qxy;
+    pqGen(srcs, len, pxy, qxy);
 
     // From hpa's paper:
     //   A = g^{y-x} / (g^{y-x} ^ 1)
@@ -112,17 +129,18 @@ Raid6Codec::recoverTwoData(std::vector<Buffer> &data, const Buffer &p,
     const std::uint8_t b =
         gf.div(gf.inv(gf.pow2(static_cast<unsigned>(x))), denom);
 
-    Buffer pd = xorOf(p, pxy);
-    Buffer qd = xorOf(q, qxy);
+    // pxy becomes P ^ Pxy and qxy becomes Q ^ Qxy, in place.
+    xorInto(pxy, p);
+    xorInto(qxy, q);
 
-    Buffer dx(len);
-    gf.mulBlock(a, pd.data(), dx.data(), len);
-    gf.mulAccum(b, qd.data(), dx.data(), len);
+    Buffer dx = Buffer::uninitialized(len);
+    gf.mulBlock(a, pxy.data(), dx.data(), len);
+    gf.mulAccum(b, qxy.data(), dx.data(), len);
 
-    Buffer dy = xorOf(pd, dx);
+    xorInto(pxy, dx); // Dy
 
     data[x] = dx;
-    data[y] = dy;
+    data[y] = pxy;
 }
 
 bool

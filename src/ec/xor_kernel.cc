@@ -3,10 +3,28 @@
 #include <cassert>
 #include <cstring>
 
+#include "ec/detail/kernels.h"
+
 namespace draid::ec {
 
+namespace detail {
+
+bool
+cpuHasAvx2()
+{
+#if DRAID_EC_AVX2
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return has;
+#else
+    return false;
+#endif
+}
+
 void
-xorInto(std::uint8_t *dst, const std::uint8_t *src, std::size_t len)
+xorIntoPortable(std::uint8_t *dst, const std::uint8_t *src, std::size_t len)
 {
     std::size_t i = 0;
     // Word-wise with 4x unrolling; memcpy keeps this free of alignment UB
@@ -26,8 +44,8 @@ xorInto(std::uint8_t *dst, const std::uint8_t *src, std::size_t len)
 }
 
 void
-xorBlocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
-          std::size_t len)
+xorBlocksPortable(std::uint8_t *dst, const std::uint8_t *a,
+                  const std::uint8_t *b, std::size_t len)
 {
     std::size_t i = 0;
     for (; i + 32 <= len; i += 32) {
@@ -44,6 +62,67 @@ xorBlocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
         dst[i] = a[i] ^ b[i];
 }
 
+#if DRAID_EC_AVX2
+
+__attribute__((target("avx2"))) void
+xorBlocksAvx2(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
+              std::size_t len)
+{
+    std::size_t i = 0;
+    for (; i + 128 <= len; i += 128) {
+        const __m256i x0 = _mm256_xor_si256(load32(a + i), load32(b + i));
+        const __m256i x1 =
+            _mm256_xor_si256(load32(a + i + 32), load32(b + i + 32));
+        const __m256i x2 =
+            _mm256_xor_si256(load32(a + i + 64), load32(b + i + 64));
+        const __m256i x3 =
+            _mm256_xor_si256(load32(a + i + 96), load32(b + i + 96));
+        store32(dst + i, x0);
+        store32(dst + i + 32, x1);
+        store32(dst + i + 64, x2);
+        store32(dst + i + 96, x3);
+    }
+    for (; i + 32 <= len; i += 32)
+        store32(dst + i, _mm256_xor_si256(load32(a + i), load32(b + i)));
+    for (; i < len; ++i)
+        dst[i] = a[i] ^ b[i];
+}
+
+__attribute__((target("avx2"))) void
+xorIntoAvx2(std::uint8_t *dst, const std::uint8_t *src, std::size_t len)
+{
+    xorBlocksAvx2(dst, dst, src, len);
+}
+
+#endif // DRAID_EC_AVX2
+
+} // namespace detail
+
+void
+xorInto(std::uint8_t *dst, const std::uint8_t *src, std::size_t len)
+{
+#if DRAID_EC_AVX2
+    if (detail::cpuHasAvx2()) {
+        detail::xorIntoAvx2(dst, src, len);
+        return;
+    }
+#endif
+    detail::xorIntoPortable(dst, src, len);
+}
+
+void
+xorBlocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
+          std::size_t len)
+{
+#if DRAID_EC_AVX2
+    if (detail::cpuHasAvx2()) {
+        detail::xorBlocksAvx2(dst, a, b, len);
+        return;
+    }
+#endif
+    detail::xorBlocksPortable(dst, a, b, len);
+}
+
 void
 xorInto(Buffer &dst, const Buffer &src)
 {
@@ -55,7 +134,7 @@ Buffer
 xorOf(const Buffer &a, const Buffer &b)
 {
     assert(a.size() == b.size());
-    Buffer out(a.size());
+    Buffer out = Buffer::uninitialized(a.size());
     xorBlocks(out.data(), a.data(), b.data(), a.size());
     return out;
 }

@@ -3,9 +3,10 @@
  * XOR kernels — the RAID-5 parity primitive.
  *
  * These are the software counterparts of the ISA-L routines the paper uses
- * (§8). They operate on raw pointers in 64-bit words with 4x unrolling;
- * the simulated CPU cost of running them is modeled separately by
- * sim::CpuCore with a calibrated bytes/sec rate.
+ * (§8). They run 256-bit AVX2 loops on CPUs that have AVX2 and 64-bit
+ * words with 4x unrolling elsewhere, chosen at run time; the simulated CPU
+ * cost of running them is modeled separately by sim::CpuCore with a
+ * calibrated bytes/sec rate.
  */
 
 #ifndef DRAID_EC_XOR_KERNEL_H

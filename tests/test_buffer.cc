@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ec/buffer.h"
 
 using draid::ec::Buffer;
@@ -77,4 +79,38 @@ TEST(Buffer, ConstructFromRawBytes)
     ASSERT_EQ(b.size(), 4u);
     EXPECT_EQ(b[0], 1);
     EXPECT_EQ(b[3], 4);
+}
+
+TEST(Buffer, CopiesAreExact)
+{
+    Buffer src(4099);
+    src.fillPattern(77);
+
+    const Buffer raw(src.data() + 1, 4097);
+    ASSERT_EQ(raw.size(), 4097u);
+    EXPECT_EQ(std::memcmp(raw.data(), src.data() + 1, 4097), 0);
+
+    const Buffer deep = src.clone();
+    EXPECT_NE(deep.data(), src.data());
+    EXPECT_TRUE(deep.contentEquals(src));
+
+    for (const std::size_t off : {0, 1, 31, 4000}) {
+        const std::size_t len = src.size() - off;
+        const Buffer s = src.slice(off, len);
+        ASSERT_EQ(s.size(), len);
+        EXPECT_NE(s.data(), src.data() + off);
+        EXPECT_EQ(std::memcmp(s.data(), src.data() + off, len), 0);
+    }
+    EXPECT_TRUE(src.slice(5, 0).empty());
+}
+
+TEST(Buffer, UninitializedHasRequestedSizeAndOwnStorage)
+{
+    Buffer a = Buffer::uninitialized(100);
+    ASSERT_EQ(a.size(), 100u);
+    a.fill(0x3c);
+    Buffer b = Buffer::uninitialized(100);
+    b.fill(0xc3);
+    EXPECT_EQ(a[99], 0x3c);
+    EXPECT_TRUE(Buffer::uninitialized(0).empty());
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "ec/detail/kernels.h"
 #include "ec/gf256.h"
+#include "sim/rng.h"
 
 using draid::ec::Gf256;
 
@@ -130,4 +134,155 @@ TEST(Gf256, MulBlockByZeroClears)
     gf.mulBlock(0, src, dst, 16);
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(dst[i], 0);
+}
+
+// --- Block kernels: every dispatched variant against the log/exp loop ---
+
+namespace {
+
+using draid::ec::detail::cpuHasAvx2;
+
+using GfKernel = void (*)(std::uint8_t, const std::uint8_t *, std::uint8_t *,
+                          std::size_t);
+
+struct GfVariant
+{
+    const char *name;
+    GfKernel mulAccum;
+    GfKernel mulBlock;
+};
+
+/** The portable kernels, plus the AVX2 ones when this CPU runs them. */
+std::vector<GfVariant>
+gfVariants()
+{
+    std::vector<GfVariant> v{{"portable", draid::ec::detail::gfMulAccumPortable,
+                              draid::ec::detail::gfMulBlockPortable}};
+#if DRAID_EC_AVX2
+    if (cpuHasAvx2())
+        v.push_back({"avx2", draid::ec::detail::gfMulAccumAvx2,
+                     draid::ec::detail::gfMulBlockAvx2});
+#endif
+    return v;
+}
+
+constexpr std::size_t kLengths[] = {0,  1,  15, 16,   31,   32,
+                                    33, 63, 64, 65, 4099, 65536};
+// Bytes on either side of the destination range, which must stay as set.
+constexpr std::size_t kGuard = 32;
+
+std::vector<std::uint8_t>
+patterned(std::size_t n, std::uint64_t seed)
+{
+    draid::sim::Rng rng(seed);
+    std::vector<std::uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<std::uint8_t>(rng.next());
+    return v;
+}
+
+void
+refMulAccum(std::uint8_t c, const std::uint8_t *src, std::uint8_t *dst,
+            std::size_t len)
+{
+    const auto &gf = Gf256::instance();
+    for (std::size_t i = 0; i < len; ++i)
+        dst[i] ^= gf.mul(c, src[i]);
+}
+
+void
+refMulBlock(std::uint8_t c, const std::uint8_t *src, std::uint8_t *dst,
+            std::size_t len)
+{
+    const auto &gf = Gf256::instance();
+    for (std::size_t i = 0; i < len; ++i)
+        dst[i] = gf.mul(c, src[i]);
+}
+
+} // namespace
+
+// All 256 constants; across them the source and destination offsets walk
+// every misalignment in [0, 32) for every length.
+TEST(Gf256Kernels, MatchLogExpReferenceForEveryConstantLengthAndAlignment)
+{
+    for (const GfVariant &k : gfVariants()) {
+        for (unsigned c = 0; c < 256; ++c) {
+            const auto cc = static_cast<std::uint8_t>(c);
+            const std::size_t src_off = c % 32;
+            const std::size_t dst_off = kGuard + (c * 7) % 32;
+            for (const std::size_t len : kLengths) {
+                SCOPED_TRACE(testing::Message() << k.name << " c=" << c
+                                                << " len=" << len);
+                const auto src = patterned(src_off + len, c * 131 + len);
+                const auto dst = patterned(dst_off + len + kGuard, c + len);
+
+                auto got = dst, want = dst;
+                k.mulAccum(cc, src.data() + src_off, got.data() + dst_off,
+                           len);
+                refMulAccum(cc, src.data() + src_off, want.data() + dst_off,
+                            len);
+                EXPECT_EQ(got, want) << "mulAccum";
+
+                got = dst;
+                want = dst;
+                k.mulBlock(cc, src.data() + src_off, got.data() + dst_off,
+                           len);
+                refMulBlock(cc, src.data() + src_off, want.data() + dst_off,
+                            len);
+                EXPECT_EQ(got, want) << "mulBlock";
+            }
+        }
+    }
+}
+
+TEST(Gf256Kernels, MulBlockScalesInPlace)
+{
+    for (const GfVariant &k : gfVariants()) {
+        for (unsigned c = 0; c < 256; c += 5) {
+            const auto cc = static_cast<std::uint8_t>(c);
+            for (const std::size_t len : kLengths) {
+                SCOPED_TRACE(testing::Message() << k.name << " c=" << c
+                                                << " len=" << len);
+                const std::size_t off = 1 + c % 31;
+                auto got = patterned(off + len, c * 17 + len);
+                auto want = got;
+                k.mulBlock(cc, got.data() + off, got.data() + off, len);
+                refMulBlock(cc, want.data() + off, want.data() + off, len);
+                EXPECT_EQ(got, want);
+            }
+        }
+    }
+}
+
+// The public entry points short-cut c == 0 and c == 1; the result must not
+// show it.
+TEST(Gf256Kernels, PublicEntryPointsMatchReferenceForEveryConstant)
+{
+    const auto &gf = Gf256::instance();
+    for (unsigned c = 0; c < 256; ++c) {
+        const auto cc = static_cast<std::uint8_t>(c);
+        for (const std::size_t len : {std::size_t{0}, std::size_t{97},
+                                      std::size_t{4096}}) {
+            SCOPED_TRACE(testing::Message() << "c=" << c << " len=" << len);
+            const auto src = patterned(len + 3, c + 7 * len);
+            const auto dst = patterned(len + 5, c + 11 * len);
+
+            auto got = dst, want = dst;
+            gf.mulAccum(cc, src.data() + 3, got.data() + 1, len);
+            refMulAccum(cc, src.data() + 3, want.data() + 1, len);
+            EXPECT_EQ(got, want) << "mulAccum";
+
+            got = dst;
+            want = dst;
+            gf.mulBlock(cc, src.data() + 3, got.data() + 1, len);
+            refMulBlock(cc, src.data() + 3, want.data() + 1, len);
+            EXPECT_EQ(got, want) << "mulBlock";
+
+            got = dst;
+            want = dst;
+            gf.mulBlock(cc, got.data() + 1, got.data() + 1, len);
+            refMulBlock(cc, want.data() + 1, want.data() + 1, len);
+            EXPECT_EQ(got, want) << "mulBlock in place";
+        }
+    }
 }

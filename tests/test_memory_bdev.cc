@@ -82,3 +82,55 @@ TEST(MemoryBdev, SparseAllocationOnlyTouchedPages)
     dev.writeSync(1ull << 39, Buffer(128));
     EXPECT_EQ(dev.pagesAllocated(), 1u);
 }
+
+namespace {
+
+/**
+ * Allocate and free a heap block of @p n bytes full of 0xff, so a
+ * following allocation of the same size likely reuses dirty memory: a read
+ * that forgot to zero a hole then shows 0xff instead of passing by luck.
+ */
+void
+dirtyHeap(std::size_t n)
+{
+    Buffer junk(n);
+    junk.fill(0xff);
+}
+
+} // namespace
+
+TEST(MemoryBdev, ReadAcrossWrittenAndUnwrittenPagesZerosTheHole)
+{
+    constexpr std::uint64_t kPage = 256 * 1024;
+    MemoryBdev dev(8 << 20);
+    Buffer data(300);
+    data.fillPattern(21);
+    dev.writeSync(2 * kPage, data); // page 2 only; pages 1 and 3 unwritten
+
+    // Hole (end of page 1), then page 2's written head.
+    dirtyHeap(1000);
+    Buffer got = dev.readSync(2 * kPage - 700, 1000);
+    for (std::size_t i = 0; i < 700; ++i)
+        ASSERT_EQ(got[i], 0) << i;
+    for (std::size_t i = 0; i < 300; ++i)
+        ASSERT_EQ(got[700 + i], data[i]) << i;
+
+    // Page 2's tail (zeros around the write), then the hole of page 3.
+    dirtyHeap(2000);
+    got = dev.readSync(3 * kPage - 1000, 2000);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], 0) << i;
+}
+
+TEST(MemoryBdev, ReadAfterPartialPageWriteZerosAroundIt)
+{
+    MemoryBdev dev(1 << 20);
+    Buffer data(10);
+    data.fill(0x5a);
+    dev.writeSync(1000, data);
+
+    dirtyHeap(4096);
+    Buffer got = dev.readSync(0, 4096);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], (i >= 1000 && i < 1010) ? 0x5a : 0) << i;
+}

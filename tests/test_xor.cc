@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ec/buffer.h"
+#include "ec/detail/kernels.h"
 #include "ec/xor_kernel.h"
 #include "sim/rng.h"
 
@@ -89,4 +90,75 @@ TEST(Xor, BufferInPlace)
     Buffer expect = xorOf(a, b);
     xorInto(a, b);
     EXPECT_TRUE(a.contentEquals(expect));
+}
+
+// --- Dispatched variants: portable and (when the CPU runs it) AVX2 ---
+
+namespace {
+
+struct XorVariant
+{
+    const char *name;
+    void (*into)(std::uint8_t *, const std::uint8_t *, std::size_t);
+    void (*blocks)(std::uint8_t *, const std::uint8_t *, const std::uint8_t *,
+                   std::size_t);
+};
+
+std::vector<XorVariant>
+xorVariants()
+{
+    std::vector<XorVariant> v{{"portable", detail::xorIntoPortable,
+                               detail::xorBlocksPortable}};
+#if DRAID_EC_AVX2
+    if (detail::cpuHasAvx2())
+        v.push_back({"avx2", detail::xorIntoAvx2, detail::xorBlocksAvx2});
+#endif
+    return v;
+}
+
+std::vector<std::uint8_t>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    draid::sim::Rng rng(seed);
+    std::vector<std::uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<std::uint8_t>(rng.next());
+    return v;
+}
+
+} // namespace
+
+// Every length, with source and destination offsets walking [0, 32);
+// bytes outside the destination range must stay untouched.
+TEST(XorKernels, MatchReferenceForEveryLengthAndAlignment)
+{
+    constexpr std::size_t kGuard = 32;
+    for (const XorVariant &k : xorVariants()) {
+        for (const std::size_t len : {0, 1, 15, 16, 31, 32, 33, 63, 64, 65,
+                                      4099, 65536}) {
+            for (std::size_t m = 0; m < 32; ++m) {
+                SCOPED_TRACE(testing::Message() << k.name << " len=" << len
+                                                << " misalign=" << m);
+                const std::size_t a_off = m, b_off = (m * 7) % 32;
+                const std::size_t d_off = kGuard + (m * 13) % 32;
+                const auto a = randomBytes(a_off + len, len * 64 + m);
+                const auto b = randomBytes(b_off + len, len * 64 + m + 32);
+                const auto dst = randomBytes(d_off + len + kGuard, m + 1);
+
+                auto got = dst, want = dst;
+                k.into(got.data() + d_off, a.data() + a_off, len);
+                for (std::size_t i = 0; i < len; ++i)
+                    want[d_off + i] ^= a[a_off + i];
+                EXPECT_EQ(got, want) << "xorInto";
+
+                got = dst;
+                want = dst;
+                k.blocks(got.data() + d_off, a.data() + a_off,
+                         b.data() + b_off, len);
+                for (std::size_t i = 0; i < len; ++i)
+                    want[d_off + i] = a[a_off + i] ^ b[b_off + i];
+                EXPECT_EQ(got, want) << "xorBlocks";
+            }
+        }
+    }
 }
